@@ -32,11 +32,12 @@ import (
 //     original checked clone runs.
 //
 // Soundness leans entirely on the mem.CheckRange contract: the check
-// never traps, a success is never invalidated (memory only grows and
-// committed pages stay committed), and clamp always fails it. A
-// failed check falls back to per-access-checked code that reproduces
-// exact trap sites and clamp redirect semantics, so elided and
-// unelided compiles are observationally identical. Speculatively
+// never traps, and a success is never invalidated (memory only grows
+// and committed pages stay committed). A success also makes clamp's
+// per-access redirect the identity, so clamp elides exactly like
+// trap. A failed check falls back to per-access-checked code that
+// reproduces exact trap sites and clamp redirect semantics, so elided
+// and unelided compiles are observationally identical. Speculatively
 // checking (and, under mprotect/uffd, committing) a superset of the
 // addresses a partially-executed region would touch is invisible:
 // committed pages read as zero either way.
@@ -888,11 +889,6 @@ func emitRangeCheck(s *rir.Inst) (cop, error) {
 	ranges := p.Ranges
 	return func(inst *Instance, base, pc int) int {
 		m := inst.base.Mem
-		if !m.ElisionCapable() {
-			// Clamp: the guard can never pass; skip the plan
-			// evaluation and run the checked copy directly.
-			return tgt
-		}
 		if reval {
 			bceCount(&bceRevalidations,
 				func(h *bceObsHandles) *obs.Counter { return h.revals }, 1)

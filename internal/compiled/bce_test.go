@@ -5,6 +5,7 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/harness"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/wasm"
@@ -175,5 +176,121 @@ func TestGemmElisionStats(t *testing.T) {
 	defer inst.Close()
 	if _, err := inst.Invoke("run"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestElideClampMatchesTrap pins that clamp and trap differ in code
+// exactly where the paper says they differ: the sequence run at each
+// surviving check. Elision proves the same facts under both, so wavm
+// must execute the same number of operations in every class outside
+// the check classes, and clamp's check count must equal trap's.
+func TestElideClampMatchesTrap(t *testing.T) {
+	for _, name := range []string{"gemm", "jacobi-2d", "atax"} {
+		wl, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := func(s mem.Strategy) *isa.Counts {
+			c, err := harness.OpHistogram(harness.EngineWAVM, wl, workloads.Test, s, isa.X86_64())
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, s, err)
+			}
+			return c
+		}
+		clamp, trp := hist(mem.Clamp), hist(mem.Trap)
+		t.Logf("%s: clamp %d ops (%d checks), trap %d ops (%d checks)", name,
+			clamp.Total(), clamp[isa.ClassCheckClamp], trp.Total(), trp[isa.ClassCheckTrap])
+		for c := isa.OpClass(0); c < isa.NumClasses; c++ {
+			if c == isa.ClassCheckClamp || c == isa.ClassCheckTrap {
+				continue
+			}
+			if clamp[c] != trp[c] {
+				t.Errorf("%s: %v ops: clamp %d, trap %d", name, c, clamp[c], trp[c])
+			}
+		}
+		if clamp[isa.ClassCheckClamp] != trp[isa.ClassCheckTrap] {
+			t.Errorf("%s: checks: clamp %d, trap %d",
+				name, clamp[isa.ClassCheckClamp], trp[isa.ClassCheckTrap])
+		}
+	}
+}
+
+// TestDifferentialElideClampTail runs a counted loop whose last
+// iterations cross the end of memory, then an in-bounds sweep of the
+// whole memory. Under clamp the first loop's guard fails and the
+// checked copy redirects each out-of-bounds access to size-8; the
+// second loop's guard passes and runs unchecked. Elision on and off
+// must agree under every strategy, clamp's digest must be the one
+// the redirect rule gives, and elision must actually remove checks
+// under clamp.
+func TestDifferentialElideClampTail(t *testing.T) {
+	const (
+		size  = 65536
+		elems = size / 8
+		lo    = elems - 192
+		hi    = elems + 8
+	)
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	arr := g.NewLayout(0).I64(elems)
+	f := mb.Func("run", wasm.I64)
+	i := f.LocalI32("i")
+	acc := f.LocalI64("acc")
+	f.Body(
+		g.For(i, g.I32(lo), g.I32(hi),
+			g.Set(acc, g.Add(g.Mul(g.Get(acc), g.I64(31)), g.Add(arr.Load(g.Get(i)), g.I64(1)))),
+			arr.Store(g.Get(i), g.Get(acc)),
+		),
+		g.For(i, g.I32(0), g.I32(elems),
+			g.Set(acc, g.Add(g.Mul(g.Get(acc), g.I64(31)), arr.Load(g.Get(i)))),
+		),
+		g.Return(g.Get(acc)),
+	)
+	mb.Export("run", f)
+	m, err := mb.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The redirect rule TestClampRedirectSemantics pins: an
+	// out-of-bounds 8-byte access lands on size-8.
+	var cells [elems]uint64
+	var want uint64
+	for k := lo; k < hi; k++ {
+		at := min(k, elems-1)
+		want = want*31 + cells[at] + 1
+		cells[at] = want
+	}
+	for k := range cells {
+		want = want*31 + cells[k]
+	}
+
+	checkElideEquivalence(t, m)
+	checks := map[bool]int64{}
+	for _, elide := range []bool{false, true} {
+		eng := compiled.NewWAVM()
+		eng.SetCache(nil)
+		eng.SetCodegen(core.Codegen{BoundsElision: elide, RegisterIR: true})
+		cm, err := eng.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: mem.Clamp, CountCycles: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := inst.Invoke("run")
+		if err != nil {
+			t.Fatalf("elide=%v: clamp must not trap: %v", elide, err)
+		}
+		checks[elide] = inst.Counts()[isa.ClassCheckClamp]
+		inst.Close()
+		if res[0] != want {
+			t.Errorf("elide=%v: clamp digest %#x, want redirect result %#x", elide, res[0], want)
+		}
+	}
+	t.Logf("clamp checks: elide=off %d, elide=on %d", checks[false], checks[true])
+	if checks[true] >= checks[false] {
+		t.Errorf("clamp checks: elide=on %d, elide=off %d; elision removed none", checks[true], checks[false])
 	}
 }

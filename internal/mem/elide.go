@@ -19,10 +19,11 @@ import (
 //   - A successful check is never invalidated: linear memory only
 //     grows, and committed pages stay committed for the lifetime of
 //     the instance (arena recycling happens between instances).
-//   - The clamp strategy always fails the check: clamp rewrites each
-//     out-of-bounds address per access (paper §V), a per-access
-//     semantics that a range check cannot summarize, so clamp runs
-//     the checked fallback unconditionally.
+//   - Clamp elides exactly like trap. A passing check proves every
+//     access inside the range lies in [0, size), where clamp's
+//     per-access redirect (paper §V) returns the address unchanged;
+//     memory only grows, so that proof never expires. A failing
+//     check falls back to the checked path, which still redirects.
 //
 // The unchecked accessors assume a little-endian host, like every
 // production wasm engine's generated loads/stores; init refuses to
@@ -42,30 +43,21 @@ func init() {
 // The returned address is addr itself on success (kept in the
 // signature so future strategies may relocate ranges the way clamp
 // relocates single accesses).
-// ElisionCapable reports whether CheckRange can ever succeed for
-// this memory: clamp rewrites addresses per access, so range guards
-// can skip their evaluation work and go straight to the checked
-// fallback.
-func (m *Memory) ElisionCapable() bool { return m.strategy != Clamp }
-
 func (m *Memory) CheckRange(addr, n uint64, write bool) (uint64, bool) {
 	end := addr + n
 	if end < addr {
 		return 0, false
 	}
-	if m.strategy != Clamp && end <= m.fastLimit.Load() {
+	if end <= m.fastLimit.Load() {
 		return addr, true
 	}
 	switch m.strategy {
-	case Clamp:
-		// Per-access redirect semantics; see the file comment.
-		return 0, false
-	case None, Trap:
+	case None, Clamp, Trap:
 		// fastLimit is the backing length (none) or the wasm-visible
-		// size (trap): past it the range is genuinely out of bounds —
-		// unless a shared grow published a larger size after the
-		// watermark read above.
-		if m.strategy == Trap && end <= m.sizeBytes.Load() {
+		// size (clamp, trap): past it the range is genuinely out of
+		// bounds — unless a shared grow published a larger size after
+		// the watermark read above.
+		if end <= m.sizeBytes.Load() {
 			return addr, true
 		}
 		return 0, false

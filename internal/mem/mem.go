@@ -82,10 +82,6 @@ func ParseStrategy(name string) (Strategy, error) {
 // Strategies lists all strategies in paper order.
 func Strategies() []Strategy { return []Strategy{None, Clamp, Trap, Mprotect, Uffd} }
 
-// IsSoftware reports whether the strategy inserts explicit check
-// code at every access (clamp, trap).
-func (s Strategy) IsSoftware() bool { return s == Clamp || s == Trap }
-
 // Reserve is the virtual reservation per memory: the full 8 GiB
 // window addressable by base+offset arithmetic on 32-bit operands
 // (paper §2.3).
@@ -728,14 +724,10 @@ func (m *Memory) Bytes(addr, n uint64, write bool) []byte {
 		trap.Throwf(trap.OutOfBounds, "bulk access [%#x,%#x) beyond size %d", addr, addr+n, size)
 	}
 	// Bulk operations trap on out-of-bounds under every strategy
-	// (wasm's memory.copy/fill semantics), so the clamp redirect does
-	// not apply and the elision-grade range check is valid here for
-	// clamp too; in-bounds was established above, hence for the
-	// non-clamp strategies CheckRange cannot fail.
-	if m.strategy != Clamp {
-		if _, ok := m.CheckRange(addr, n, write); !ok {
-			trap.Throwf(trap.OutOfBounds, "bulk access [%#x,%#x) beyond size %d", addr, addr+n, size)
-		}
+	// (wasm's memory.copy/fill semantics); in-bounds was established
+	// above, so CheckRange only commits the range and cannot fail.
+	if _, ok := m.CheckRange(addr, n, write); !ok {
+		trap.Throwf(trap.OutOfBounds, "bulk access [%#x,%#x) beyond size %d", addr, addr+n, size)
 	}
 	return m.data[addr : addr+n]
 }

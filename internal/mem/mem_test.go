@@ -121,6 +121,58 @@ func TestClampRedirectsToEnd(t *testing.T) {
 	}
 }
 
+// TestCheckRangeClamp pins the elision contract under clamp: a range
+// guard succeeds exactly where trap's would, and a failing guard
+// neither traps nor redirects, leaving the redirect to the checked
+// per-access path.
+func TestCheckRangeClamp(t *testing.T) {
+	m := newMem(t, Clamp, 1, 4)
+	size := m.SizeBytes()
+	for _, tc := range []struct {
+		name     string
+		addr, n  uint64
+		wantPass bool
+	}{
+		{"whole memory", 0, size, true},
+		{"last word", size - 4, 4, true},
+		{"crosses size", size - 2, 4, false},
+		{"past size", size + 1000, 8, false},
+		{"wraps", ^uint64(0) - 2, 8, false},
+	} {
+		var got uint64
+		var ok bool
+		if tr := catchTrap(func() { got, ok = m.CheckRange(tc.addr, tc.n, false) }); tr != nil {
+			t.Fatalf("%s: CheckRange trapped: %v", tc.name, tr)
+		}
+		if ok != tc.wantPass {
+			t.Errorf("%s: CheckRange(%#x, %d) = %v, want %v", tc.name, tc.addr, tc.n, ok, tc.wantPass)
+		}
+		if ok && got != tc.addr {
+			t.Errorf("%s: passing CheckRange relocated %#x to %#x", tc.name, tc.addr, got)
+		}
+		if !ok && got == size-tc.n {
+			t.Errorf("%s: failing CheckRange returned the redirect %#x", tc.name, got)
+		}
+	}
+	// The checked access behind a failed guard still redirects.
+	m.StoreU32(size-4, 0x11223344)
+	if got := m.LoadU32(size - 2); got != 0x11223344 {
+		t.Errorf("checked load across size: %#x, want redirect to size-4 (%#x)", got, 0x11223344)
+	}
+
+	// A shared grow publishes sizeBytes after the watermark a racing
+	// guard may have read; the guard rechecks the published size.
+	sh := newSharedMem(t, Clamp, 1, 4)
+	old := sh.SizeBytes()
+	if sh.Grow(1) < 0 {
+		t.Fatal("grow failed")
+	}
+	sh.fastLimit.Store(old)
+	if _, ok := sh.CheckRange(old, 8, true); !ok {
+		t.Errorf("shared clamp: CheckRange past a stale fastLimit %#x failed (size %#x)", old, sh.SizeBytes())
+	}
+}
+
 func TestNoneAllowsWithinBacking(t *testing.T) {
 	// The unsafe baseline: accesses beyond size but within the
 	// backing window succeed (reading zeros), exactly like the

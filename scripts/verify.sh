@@ -37,9 +37,11 @@ go test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./interna
 # Quick elide differential: the bounds-check elision pass must be
 # observationally equivalent to per-access checks — same digests,
 # same trap causes, same trap offsets — under all five strategies,
-# with the race detector watching the unchecked fast paths.
+# with the race detector watching the unchecked fast paths. Clamp
+# elides like trap: the same operations run under both, and a loop
+# whose tail crosses the end of memory still redirects.
 echo "== elide-diff (elide=on vs elide=off differential, -race)"
-go test -race -count=1 -run 'TestDifferentialElide' -short ./internal/compiled/
+go test -race -count=1 -run 'TestDifferentialElide|TestElideClampMatchesTrap|TestDifferentialElideClampTail' -short ./internal/compiled/
 
 # Quick register-IR differential: the stack→register lowering and its
 # superinstruction fusion must be observationally equivalent to the
